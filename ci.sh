@@ -12,8 +12,9 @@
 #      output (docs/PERFORMANCE.md describes the tracked perf trajectory;
 #      the checked-in reports are parse-validated by the
 #      atlahs_bench::json unit tests in stage 4)
-#   7. large-trace LGS fingerprint — the ~1M-op pipeline_parallel golden
-#      (release-scale, so it runs here rather than in the debug suite)
+#   7. large-trace fingerprints   — the ~1M-op pipeline_parallel LGS golden
+#      and the byte pin of the full llama7b_dp16(0.5) NCCL lowering
+#      (release-scale, so they run here rather than in the debug suite)
 #   8. sweep smoke                — `atlahs sweep --smoke` runs the fixed
 #      24-cell CI grid on 2 threads and must reproduce the checked-in
 #      tests/goldens/sweep_smoke.json byte for byte (docs/SCENARIOS.md)
@@ -92,9 +93,9 @@ for key in '"scenarios"' '"pipeline_1m"' '"tasks_per_sec"' '"bytes_per_task"'; d
         || { echo "lgs bench smoke: $key missing from $lgs_smoke_json" >&2; exit 1; }
 done
 
-step "large-trace LGS fingerprint (~1M-op pipeline_parallel golden)"
-ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden \
-    lgs_pipeline_parallel_1m
+step "large-trace fingerprints (~1M-op LGS golden + full Llama-7B lowering pin)"
+ATLAHS_LARGE_GOLDENS=1 cargo test -q --release --test determinism_golden -- \
+    lgs_pipeline_parallel_1m nccl_lowering_llama7b_dp16_full
 
 step "sweep smoke (atlahs sweep --smoke vs golden report)"
 sweep_json="target/sweep_smoke.json"

@@ -57,6 +57,27 @@ fn get_varint(buf: &mut &[u8], offset: &mut usize) -> Result<u64, GoalError> {
     }
 }
 
+/// A varint that must fit a `u32` field (peer, tag, stream); `what` names
+/// the field in the error.
+#[inline]
+fn get_u32(buf: &mut &[u8], offset: &mut usize, what: &str) -> Result<u32, GoalError> {
+    let at = *offset;
+    let v = get_varint(buf, offset)?;
+    u32::try_from(v).map_err(|_| too_wide(at, what, v))
+}
+
+#[cold]
+fn too_wide(offset: usize, what: &str, v: u64) -> GoalError {
+    GoalError::Decode { offset, msg: format!("{what} {v} exceeds u32") }
+}
+
+/// Capacity for `count` decoded items of at least `min_bytes` each: never
+/// more than the remaining input can hold, so a corrupt count cannot
+/// trigger a huge allocation before the input runs out.
+fn bounded_capacity(count: u64, buf: &[u8], min_bytes: usize) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX).min(buf.remaining() / min_bytes)
+}
+
 #[inline]
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -141,25 +162,30 @@ pub fn decode(data: &[u8]) -> Result<GoalSchedule, GoalError> {
     buf.advance(MAGIC.len());
     offset += MAGIC.len();
 
-    let num_ranks = get_varint(&mut buf, &mut offset)? as usize;
-    let mut ranks = Vec::with_capacity(num_ranks);
+    // Every rank, task and edge takes at least 2 bytes (a rank: its task
+    // and edge counts; a task: header + payload; an edge: two varints).
+    let num_ranks = get_varint(&mut buf, &mut offset)?;
+    let mut ranks = Vec::with_capacity(bounded_capacity(num_ranks, buf, 2));
     for r in 0..num_ranks {
-        let num_tasks = get_varint(&mut buf, &mut offset)? as usize;
-        let mut tasks = Vec::with_capacity(num_tasks);
+        let num_tasks = get_varint(&mut buf, &mut offset)?;
+        let mut tasks = Vec::with_capacity(bounded_capacity(num_tasks, buf, 2));
         for _ in 0..num_tasks {
             tasks.push(decode_task(&mut buf, &mut offset)?);
         }
-        let num_deps = get_varint(&mut buf, &mut offset)? as usize;
-        let mut deps = Vec::with_capacity(num_deps);
+        let num_deps = get_varint(&mut buf, &mut offset)?;
+        let mut deps = Vec::with_capacity(bounded_capacity(num_deps, buf, 2));
         let mut prev_a = 0u64;
         for _ in 0..num_deps {
-            let a = prev_a + get_varint(&mut buf, &mut offset)?;
+            let a = prev_a.saturating_add(get_varint(&mut buf, &mut offset)?);
             prev_a = a;
             let packed = get_varint(&mut buf, &mut offset)?;
             let kind = if packed & 1 == 1 { DepKind::Start } else { DepKind::Full };
-            let diff = unzigzag(packed >> 1);
-            let b = a as i64 - diff;
-            if b < 0 || b > u32::MAX as i64 || a > u32::MAX as u64 {
+            if a > u32::MAX as u64 {
+                return Err(GoalError::Decode { offset, msg: "edge index out of range".into() });
+            }
+            // |diff| <= 2^62 and a < 2^32, so this cannot overflow.
+            let b = a as i64 - unzigzag(packed >> 1);
+            if b < 0 || b > u32::MAX as i64 {
                 return Err(GoalError::Decode { offset, msg: "edge index out of range".into() });
             }
             deps.push((TaskId(a as u32), TaskId(b as u32), kind));
@@ -186,12 +212,12 @@ fn decode_task(buf: &mut &[u8], offset: &mut usize) -> Result<Task, GoalError> {
         }
         KIND_SEND => {
             let bytes = get_varint(buf, offset)?;
-            let dst = get_varint(buf, offset)? as u32;
+            let dst = get_u32(buf, offset, "peer")?;
             TaskKind::Send { bytes, dst, tag: 0 }
         }
         KIND_RECV => {
             let bytes = get_varint(buf, offset)?;
-            let src = get_varint(buf, offset)? as u32;
+            let src = get_u32(buf, offset, "peer")?;
             TaskKind::Recv { bytes, src, tag: 0 }
         }
         _ => {
@@ -201,8 +227,8 @@ fn decode_task(buf: &mut &[u8], offset: &mut usize) -> Result<Task, GoalError> {
             })
         }
     };
-    let tag = if header & FLAG_TAG != 0 { get_varint(buf, offset)? as u32 } else { 0 };
-    let stream = if header & FLAG_STREAM != 0 { get_varint(buf, offset)? as u32 } else { 0 };
+    let tag = if header & FLAG_TAG != 0 { get_u32(buf, offset, "tag")? } else { 0 };
+    let stream = if header & FLAG_STREAM != 0 { get_u32(buf, offset, "stream")? } else { 0 };
     let kind = match kind {
         TaskKind::Send { bytes, dst, .. } => TaskKind::Send { bytes, dst, tag },
         TaskKind::Recv { bytes, src, .. } => TaskKind::Recv { bytes, src, tag },
@@ -274,6 +300,60 @@ mod tests {
         let data = encode(&goal);
         // magic(8) + num_ranks(1) + num_tasks(1) + task(2) + num_deps(1)
         assert_eq!(data.len(), 13);
+    }
+
+    /// `MAGIC` followed by `rest`.
+    fn framed(rest: &[u8]) -> Vec<u8> {
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(rest);
+        data
+    }
+
+    fn decode_error(data: &[u8]) -> (usize, String) {
+        match decode(data) {
+            Err(GoalError::Decode { offset, msg }) => (offset, msg),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_counts_fail_cleanly_instead_of_allocating() {
+        // 17 bytes: a 9-byte varint claiming ~2^63 ranks, then nothing.
+        let data = framed(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
+        assert_eq!(data.len(), 17);
+        assert_eq!(decode_error(&data), (17, "truncated varint".into()));
+        // One rank claiming ~2^49 tasks.
+        let data = framed(&[1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
+        assert_eq!(decode_error(&data), (16, "truncated task header".into()));
+        // One rank, no tasks, ~2^42 edges.
+        let data = framed(&[1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
+        assert_eq!(decode_error(&data), (16, "truncated varint".into()));
+    }
+
+    #[test]
+    fn u32_fields_reject_wider_varints() {
+        let too_wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
+                                                       // A send to peer 2^32 (header SEND, 1 byte, peer).
+        let mut rest = vec![1, 1, KIND_SEND, 1];
+        rest.extend_from_slice(&too_wide);
+        assert_eq!(decode_error(&framed(&rest)), (12, "peer 4294967296 exceeds u32".into()));
+        // A calc carrying tag 2^32, and one on stream 2^32.
+        let mut rest = vec![1, 1, KIND_CALC | FLAG_TAG, 5];
+        rest.extend_from_slice(&too_wide);
+        assert_eq!(decode_error(&framed(&rest)), (12, "tag 4294967296 exceeds u32".into()));
+        let mut rest = vec![1, 1, KIND_CALC | FLAG_STREAM, 5];
+        rest.extend_from_slice(&too_wide);
+        assert_eq!(decode_error(&framed(&rest)), (12, "stream 4294967296 exceeds u32".into()));
+    }
+
+    #[test]
+    fn overflowing_edge_deltas_fail_cleanly() {
+        // Two tasks; the second edge's delta pushes `a` past u64::MAX.
+        let mut rest = vec![1, 2, KIND_CALC, 1, KIND_CALC, 1, 2, 1, 2];
+        rest.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        rest.push(2);
+        let (offset, msg) = decode_error(&framed(&rest));
+        assert_eq!((offset, msg.as_str()), (28, "edge index out of range"));
     }
 
     #[test]

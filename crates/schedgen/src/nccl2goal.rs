@@ -75,10 +75,9 @@ pub fn convert(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedu
 pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSchedule, GoalError> {
     let ngpus = report.num_gpus();
     let mut b = GoalBuilder::new(ngpus);
-    // (gpu, record index) -> (entry, exit) vertices of its decomposition.
-    // Lookup-only (never iterated), so a seeded hash map is fine.
-    let mut ports: HashMap<(u32, usize), (TaskId, TaskId), FastBuildHasher> =
-        HashMap::with_hasher(FastBuildHasher::default());
+    // ports[gpu][record index] = (entry, exit) vertices of its decomposition.
+    let mut ports: Vec<Vec<Option<(TaskId, TaskId)>>> =
+        report.gpus.iter().map(|g| vec![None; g.records.len()]).collect();
     let mut next_tag: u32 = 0;
 
     // ---- Stage 3a: collective instances per communicator ----
@@ -147,7 +146,7 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
                 NcclKernel::Send { .. } | NcclKernel::Recv { .. } => unreachable!(),
             };
             for (m, &g) in members.iter().enumerate() {
-                ports.insert((g, lists[m][i]), (p.entry[m], p.exit[m]));
+                ports[g as usize][lists[m][i]] = Some((p.entry[m], p.exit[m]));
             }
         }
     }
@@ -182,8 +181,8 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
             ncfg.launch_ns = 0; // launch charged via the stream-gap calc
             let tag = alloc_tag(&mut next_tag);
             let (se, sx, re, rx) = nc::p2p(&mut b, src, dst, bytes, tag, &ncfg);
-            ports.insert((src, sk), (se, sx));
-            ports.insert((dst, rk), (re, rx));
+            ports[src as usize][sk] = Some((se, sx));
+            ports[dst as usize][rk] = Some((re, rx));
         }
     }
 
@@ -192,8 +191,8 @@ pub fn gpu_level(report: &NsysReport, cfg: &NcclToGoalConfig) -> Result<GoalSche
         // last (exit, tend) per stream; lookup-only, never iterated
         let mut last: HashMap<u32, (TaskId, u64), FastBuildHasher> =
             HashMap::with_hasher(FastBuildHasher::default());
-        for (ri, rec) in g.records.iter().enumerate() {
-            let &(entry, exit) = ports.get(&(gi as u32, ri)).ok_or_else(|| GoalError::Compose {
+        for (ri, (rec, port)) in g.records.iter().zip(&ports[gi]).enumerate() {
+            let (entry, exit) = port.ok_or_else(|| GoalError::Compose {
                 msg: format!("gpu {gi} record {ri} lost its ports"),
             })?;
             match last.get(&rec.stream) {
@@ -233,6 +232,10 @@ fn alloc_tag(next: &mut u32) -> u32 {
 /// `mapping[g]` is the node of GPU `g`. Streams are offset per GPU so they
 /// stay independent; intra-node sends/recvs become calc vertices joined by
 /// an explicit dependency edge (the NVLink copy).
+///
+/// GPUs are visited in order and each GPU's tasks are appended to its node
+/// contiguously, so GPU task `i` becomes node task `base + i`, where `base`
+/// is the node's task count when the GPU starts: the remap is arithmetic.
 pub fn group_gpus(
     gpu_goal: &GoalSchedule,
     mapping: &[u32],
@@ -241,75 +244,52 @@ pub fn group_gpus(
     let ngpus = gpu_goal.num_ranks();
     assert_eq!(mapping.len(), ngpus, "mapping must cover every GPU");
     let nnodes = mapping.iter().copied().max().map_or(0, |m| m as usize + 1);
-    // local index of each gpu within its node
-    let mut local = vec![0u32; ngpus];
-    let mut counts = vec![0u32; nnodes];
-    for g in 0..ngpus {
-        local[g] = counts[mapping[g] as usize];
-        counts[mapping[g] as usize] += 1;
-    }
+    // GPUs merged into each node so far: the next one's local index.
+    let mut merged = vec![0u32; nnodes];
 
     let mut b = GoalBuilder::new(nnodes);
-    // (gpu, old task id) -> new task id on the node; lookup-only
-    let mut remap: HashMap<(u32, u32), TaskId, FastBuildHasher> =
-        HashMap::with_hasher(FastBuildHasher::default());
-    // intra-node pairing: (src_gpu, dst_gpu, tag) -> fifo lists of new
-    // ids. Ordered maps: the pairing loop below iterates them, and the
-    // dependency-edge insertion order feeds the CSR layout.
-    let mut intra_sends: BTreeMap<(u32, u32, u32), Vec<TaskId>> = BTreeMap::new();
-    let mut intra_recvs: BTreeMap<(u32, u32, u32), Vec<(u32, TaskId)>> = BTreeMap::new();
+    // Intra-node transfer ends as ((src_gpu, dst_gpu, tag), new id), in
+    // visit order; paired after the merge.
+    let mut intra_sends: Vec<((u32, u32, u32), TaskId)> = Vec::new();
+    let mut intra_recvs: Vec<((u32, u32, u32), TaskId)> = Vec::new();
 
     for g in 0..ngpus {
         let node = mapping[g];
         let sched = gpu_goal.rank(g as Rank);
+        let base = b.num_tasks(node) as u32;
+        let local = merged[node as usize];
+        merged[node as usize] += 1;
         for (ti, t) in sched.tasks().enumerate() {
-            let stream = local[g] * STREAM_STRIDE + t.stream;
-            let new_id = match t.kind {
-                TaskKind::Calc { cost } => b.add_task(node, Task::calc(cost).on_stream(stream)),
+            let id = TaskId(base + ti as u32);
+            let task = match t.kind {
+                TaskKind::Calc { cost } => Task::calc(cost),
+                TaskKind::Send { bytes, dst, tag } if mapping[dst as usize] == node => {
+                    intra_sends.push(((g as u32, dst, tag), id));
+                    // NVLink copy: sender-side cost carries the transfer.
+                    // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
+                    Task::calc(cfg.intra_base_ns + (bytes as f64 * cfg.intra_ns_per_byte) as u64)
+                }
+                // Tags gain the source GPU's low bits so merged node pairs
+                // don't cross-match different GPU pairs.
                 TaskKind::Send { bytes, dst, tag } => {
-                    if mapping[dst as usize] == node {
-                        // NVLink copy: sender-side cost carries the transfer.
-                        let cost =
-                            // det-lint: allow(float) — NVLink ns/B cost parameter, one fixed-order multiply then integer cast
-                            cfg.intra_base_ns + (bytes as f64 * cfg.intra_ns_per_byte) as u64;
-                        let id = b.add_task(node, Task::calc(cost).on_stream(stream));
-                        intra_sends.entry((g as u32, dst, tag)).or_default().push(id);
-                        id
-                    } else {
-                        // Tags gain the source GPU's low bits so merged
-                        // node pairs don't cross-match different GPU pairs.
-                        let tag = (tag << 3) | (g as u32 & 7);
-                        b.add_task(
-                            node,
-                            Task::send(mapping[dst as usize], bytes, tag).on_stream(stream),
-                        )
-                    }
+                    Task::send(mapping[dst as usize], bytes, (tag << 3) | (g as u32 & 7))
+                }
+                TaskKind::Recv { src, tag, .. } if mapping[src as usize] == node => {
+                    intra_recvs.push(((src, g as u32, tag), id));
+                    Task::calc(0)
                 }
                 TaskKind::Recv { bytes, src, tag } => {
-                    if mapping[src as usize] == node {
-                        let id = b.add_task(node, Task::calc(0).on_stream(stream));
-                        intra_recvs.entry((src, g as u32, tag)).or_default().push((node, id));
-                        id
-                    } else {
-                        let tag = (tag << 3) | (src & 7);
-                        b.add_task(
-                            node,
-                            Task::recv(mapping[src as usize], bytes, tag).on_stream(stream),
-                        )
-                    }
+                    Task::recv(mapping[src as usize], bytes, (tag << 3) | (src & 7))
                 }
             };
-            remap.insert((g as u32, ti as u32), new_id);
+            let added = b.add_task(node, task.on_stream(local * STREAM_STRIDE + t.stream));
+            debug_assert_eq!(added, id, "a GPU's tasks are appended to its node contiguously");
         }
-    }
-
-    // Copy intra-GPU dependency edges.
-    for g in 0..ngpus {
-        let node = mapping[g];
-        let sched = gpu_goal.rank(g as Rank);
+        // Intra-GPU dependency edges, shifted by `base`. Edge order fixes
+        // the CSR layout: each node lists its GPUs' edges in GPU order,
+        // then the intra-node data-flow edges below.
         for (a, dep, kind) in sched.dep_edges() {
-            let na = remap[&(g as u32, a.0)];
-            let nb = remap[&(g as u32, dep.0)];
+            let (na, nb) = (TaskId(base + a.0), TaskId(base + dep.0));
             match kind {
                 atlahs_goal::DepKind::Full => b.requires(node, na, nb),
                 atlahs_goal::DepKind::Start => b.irequires(node, na, nb),
@@ -317,19 +297,32 @@ pub fn group_gpus(
         }
     }
 
-    // Data-flow edges for intra-node transfers (FIFO per key).
-    for (key, sends) in &intra_sends {
-        let recvs = intra_recvs.get(key).ok_or_else(|| GoalError::Compose {
-            msg: format!("intra-node send {key:?} has no matching recv"),
-        })?;
-        if sends.len() != recvs.len() {
+    // Data-flow edges for intra-node transfers: keys in ascending order,
+    // FIFO within a key. The sorts are stable, so within a key both sides
+    // keep visit order and the k-th send pairs with the k-th recv. Recv
+    // keys without a send are skipped.
+    intra_sends.sort_by_key(|&(key, _)| key);
+    intra_recvs.sort_by_key(|&(key, _)| key);
+    let (mut sends, mut recvs) = (intra_sends.as_slice(), intra_recvs.as_slice());
+    while let Some(&(key, _)) = sends.first() {
+        let ns = sends.partition_point(|&(k, _)| k == key);
+        recvs = &recvs[recvs.partition_point(|&(k, _)| k < key)..];
+        let nr = recvs.partition_point(|&(k, _)| k == key);
+        if nr == 0 {
+            return Err(GoalError::Compose {
+                msg: format!("intra-node send {key:?} has no matching recv"),
+            });
+        }
+        if nr != ns {
             return Err(GoalError::Compose {
                 msg: format!("intra-node pair {key:?}: send/recv count mismatch"),
             });
         }
-        for (&s, &(node, r)) in sends.iter().zip(recvs) {
+        let node = mapping[key.0 as usize];
+        for (&(_, s), &(_, r)) in sends[..ns].iter().zip(&recvs[..nr]) {
             b.requires(node, r, s);
         }
+        (sends, recvs) = (&sends[ns..], &recvs[nr..]);
     }
 
     b.build()
@@ -454,6 +447,118 @@ mod tests {
         let ga = atlahs_goal::binary::encode(&gpu_level(&rep, &cfg).unwrap());
         let gb = atlahs_goal::binary::encode(&gpu_level(&rep, &cfg).unwrap());
         assert_eq!(ga, gb, "gpu-level conversion must be byte-stable");
+    }
+
+    /// Stage 4 of a hand-built two-GPU schedule with both GPUs on node 0.
+    fn group_on_one_node(gpus: impl FnOnce(&mut GoalBuilder)) -> Result<GoalSchedule, GoalError> {
+        let mut b = GoalBuilder::new(2);
+        gpus(&mut b);
+        group_gpus(&b.build().unwrap(), &[0, 0], &NcclToGoalConfig::default())
+    }
+
+    fn compose_error(r: Result<GoalSchedule, GoalError>) -> String {
+        match r {
+            Err(GoalError::Compose { msg }) => msg,
+            other => panic!("expected a Compose error, got {other:?}"),
+        }
+    }
+
+    fn edges(goal: &GoalSchedule) -> Vec<(u32, u32)> {
+        goal.rank(0).dep_edges().map(|(a, b, _)| (a.0, b.0)).collect()
+    }
+
+    #[test]
+    fn same_key_nvlink_transfers_pair_in_fifo_order() {
+        let goal = group_on_one_node(|b| {
+            b.send(0, 1, 150_000, 5); // node task 0: 1 µs NVLink copy
+            b.send(0, 1, 300_000, 5); // node task 1: 2 µs
+            b.recv(1, 0, 150_000, 5); // node task 2
+            b.recv(1, 0, 300_000, 5); // node task 3
+        })
+        .unwrap();
+        let node = goal.rank(0);
+        let costs: Vec<_> = node.tasks().map(|t| (t.kind, t.stream)).collect();
+        assert_eq!(
+            costs,
+            [
+                (TaskKind::Calc { cost: 2_000 }, 0),
+                (TaskKind::Calc { cost: 3_000 }, 0),
+                (TaskKind::Calc { cost: 0 }, STREAM_STRIDE),
+                (TaskKind::Calc { cost: 0 }, STREAM_STRIDE),
+            ]
+        );
+        assert_eq!(edges(&goal), [(2, 0), (3, 1)], "k-th recv waits for the k-th send");
+    }
+
+    #[test]
+    fn intra_node_send_without_recv_is_rejected() {
+        let err = compose_error(group_on_one_node(|b| {
+            b.send(0, 1, 64, 5);
+            b.recv(1, 0, 64, 6);
+        }));
+        assert_eq!(err, "intra-node send (0, 1, 5) has no matching recv");
+    }
+
+    #[test]
+    fn intra_node_recv_without_send_stays_unpaired() {
+        // Only sends drive pairing, so a recv key with no send (here tag 4,
+        // sorting first) gets no edge.
+        let goal = group_on_one_node(|b| {
+            b.send(0, 1, 64, 5);
+            b.recv(1, 0, 64, 4);
+            b.recv(1, 0, 64, 5);
+        })
+        .unwrap();
+        assert_eq!(edges(&goal), [(2, 0)]);
+    }
+
+    #[test]
+    fn intra_node_count_mismatch_is_rejected() {
+        let err = compose_error(group_on_one_node(|b| {
+            b.send(0, 1, 64, 5);
+            b.send(0, 1, 64, 5);
+            b.recv(1, 0, 64, 5);
+        }));
+        assert_eq!(err, "intra-node pair (0, 1, 5): send/recv count mismatch");
+        let err = compose_error(group_on_one_node(|b| {
+            b.send(0, 1, 64, 5);
+            b.recv(1, 0, 64, 5);
+            b.recv(1, 0, 64, 5);
+        }));
+        assert_eq!(err, "intra-node pair (0, 1, 5): send/recv count mismatch");
+    }
+
+    #[test]
+    fn interleaved_keys_pair_as_sorted_per_key_fifo() {
+        let goal = group_on_one_node(|b| {
+            // GPU 0 → node tasks 0..=6
+            for tag in [2, 1, 2, 1, 3] {
+                b.send(0, 1, 64, tag);
+            }
+            b.recv(0, 1, 64, 1);
+            b.recv(0, 1, 64, 1);
+            // GPU 1 → node tasks 7..=13
+            for tag in [1, 1, 2, 3, 2] {
+                b.recv(1, 0, 64, tag);
+            }
+            let s = b.send(1, 0, 64, 1);
+            b.send(1, 0, 64, 1);
+            b.requires(1, s, TaskId(0)); // GPU-local edge: node 12 requires node 7
+        })
+        .unwrap();
+        // Per key in ascending order, FIFO within the key.
+        let mut want = vec![
+            (7, 1),  // (0, 1, 1) #1
+            (8, 3),  // (0, 1, 1) #2
+            (9, 0),  // (0, 1, 2) #1
+            (11, 2), // (0, 1, 2) #2
+            (10, 4), // (0, 1, 3)
+            (5, 12), // (1, 0, 1) #1
+            (6, 13), // (1, 0, 1) #2
+            (12, 7), // the GPU-local edge, shifted by GPU 1's base
+        ];
+        want.sort_unstable();
+        assert_eq!(edges(&goal), want);
     }
 
     #[test]

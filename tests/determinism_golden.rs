@@ -698,3 +698,113 @@ fn stochastic_smoke_reproduces_the_checked_in_golden_bytes() {
          report format changed"
     );
 }
+
+// --- NCCL trace → GOAL lowering fingerprints: FNV over the
+// --- `binary::encode` bytes of `nccl2goal::convert` output. Task order,
+// --- task fields and the per-rank dependency-edge order (which fixes the
+// --- CSR layout) all reach the encoding, so any change to how Stages 2–4
+// --- mint vertices or pair intra-node transfers moves these pins.
+
+use atlahs::schedgen::nccl2goal::{self, NcclToGoalConfig};
+use atlahs::tracers::nccl::{presets, trace_llm, LlmConfig, NsysReport};
+
+/// Size and FNV fingerprint of an encoded GOAL schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoweringPin {
+    ranks: usize,
+    tasks: usize,
+    bytes: usize,
+    fingerprint: u64,
+}
+
+fn lowering_pin(goal: &GoalSchedule) -> LoweringPin {
+    let data = atlahs::goal::binary::encode(goal);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for chunk in data.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = fnv(h, u64::from_le_bytes(word));
+    }
+    h = fnv(h, data.len() as u64);
+    LoweringPin {
+        ranks: goal.num_ranks(),
+        tasks: goal.total_tasks(),
+        bytes: data.len(),
+        fingerprint: h,
+    }
+}
+
+fn check_lowering(name: &str, report: &NsysReport, gpus_per_node: Option<u32>, want: LoweringPin) {
+    let cfg = NcclToGoalConfig { gpus_per_node, ..NcclToGoalConfig::default() };
+    let got = lowering_pin(&nccl2goal::convert(report, &cfg).expect("trace lowers"));
+    if std::env::var_os("ATLAHS_PRINT_GOLDENS").is_some() {
+        println!("{name}: {got:?}");
+        return;
+    }
+    assert_eq!(got, want, "{name}: NCCL lowering output drifted from the pinned bytes");
+}
+
+/// A one-iteration trace of `cfg` at a small batch (the `nccl2goal` test size).
+fn small_trace(mut cfg: LlmConfig, batch: u32) -> NsysReport {
+    cfg.iterations = 1;
+    cfg.batch = batch;
+    trace_llm(&cfg)
+}
+
+#[test]
+fn nccl_lowering_llama7b_dp16_across_node_sizes() {
+    let rep = small_trace(presets::llama7b_dp16(0.01), 16);
+    // (gpus per node, node ranks, encoded bytes, fingerprint); the task
+    // count does not depend on the grouping.
+    for (gpn, ranks, bytes, fingerprint) in [
+        (1, 16, 962145, 11128737738821258824),
+        (2, 8, 896273, 14376713872649685096),
+        (4, 4, 863273, 7309078132595292365),
+        (8, 2, 846769, 14187211301370905687),
+        (16, 1, 886413, 7407962918389204262),
+    ] {
+        let want = LoweringPin { ranks, tasks: 116432, bytes, fingerprint };
+        check_lowering(&format!("nccl_lowering_llama7b_dp16_gpn{gpn}"), &rep, Some(gpn), want);
+    }
+}
+
+#[test]
+fn nccl_lowering_mistral8x7b_pipeline_parallel() {
+    check_lowering(
+        "nccl_lowering_mistral8x7b_pipeline_parallel",
+        &small_trace(presets::mistral8x7b(0.01), 8),
+        None,
+        LoweringPin { ranks: 16, tasks: 191504, bytes: 1697537, fingerprint: 15804636874022233258 },
+    );
+}
+
+#[test]
+fn nccl_lowering_moe8x13b() {
+    check_lowering(
+        "nccl_lowering_moe8x13b",
+        &small_trace(presets::moe8x13b(0.01), 8),
+        None,
+        LoweringPin { ranks: 32, tasks: 420992, bytes: 3746185, fingerprint: 11193162924886419776 },
+    );
+}
+
+/// The full `llama7b_dp16(0.5)` lowering (~1.8M ops, the trace the
+/// benchmark's `trace_replay` workload replays). Release-scale, gated like
+/// `lgs_pipeline_parallel_1m`.
+#[test]
+fn nccl_lowering_llama7b_dp16_full() {
+    if cfg!(debug_assertions) && std::env::var_os("ATLAHS_LARGE_GOLDENS").is_none() {
+        eprintln!(
+            "nccl_lowering_llama7b_dp16_full: skipped (debug build; set ATLAHS_LARGE_GOLDENS=1)"
+        );
+        return;
+    }
+    let mut cfg = presets::llama7b_dp16(0.5);
+    cfg.iterations = 1;
+    check_lowering(
+        "nccl_lowering_llama7b_dp16_full",
+        &trace_llm(&cfg),
+        None,
+        LoweringPin { ranks: 4, tasks: 1831856, bytes: 13815141, fingerprint: 3030532347113191152 },
+    );
+}
